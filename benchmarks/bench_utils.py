@@ -37,16 +37,32 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 #: output capturing and can be diffed across runs / quoted in EXPERIMENTS.md.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
+#: Column-name endings of wall-clock measurements and of ratios between
+#: them.  Such columns change on every run, so they are printed but left out
+#: of the files in ``RESULTS_DIR``: a tracked file then changes only when a
+#: reproduced number (repairs, satisfaction, solve counts) does.
+TIMING_COLUMN_SUFFIXES = ("seconds", "_s", "_per_sec", "speedup", "overhead_pct", "vs_single_pct")
+
+
+def is_timing_column(name: str) -> bool:
+    """Whether column ``name`` holds a timing (see TIMING_COLUMN_SUFFIXES)."""
+    return name.endswith(TIMING_COLUMN_SUFFIXES)
+
 
 def print_figure(title: str, rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:
-    """Print one reproduced figure as an aligned table and save it to disk."""
-    table = format_table(rows, columns=columns, title=title)
+    """Print one reproduced figure as an aligned table and save it to disk.
+
+    Stdout gets every column; the saved file leaves out the timing columns.
+    """
     print()
-    print(table)
+    print(format_table(rows, columns=columns, title=title))
+    tracked = [column for column in columns if not is_timing_column(column)]
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     slug = re.sub(r"[^a-z0-9]+", "-", title.lower()).strip("-")[:60]
     scale = "full" if FULL_SCALE else "quick"
-    (RESULTS_DIR / f"{slug}.{scale}.txt").write_text(table)
+    (RESULTS_DIR / f"{slug}.{scale}.txt").write_text(
+        format_table(rows, columns=tracked, title=title)
+    )
 
 
 def series_of(result, value_key: str) -> Dict[str, Dict[object, object]]:
