@@ -342,18 +342,13 @@ def _relaxation_program(
             negated = (-matrix)[finite_lb] if not finite_lb.all() else -matrix
             ub_blocks.append(negated)
             ub_rhs.append(-(lb[finite_lb] if not finite_lb.all() else lb))
-    lower, upper = fixed_delta_bounds(model)
-    bounds = [
-        (float(lower[i]), None if np.isinf(upper[i]) else float(upper[i]))
-        for i in range(model.num_vars)
-    ]
     return LinearProgram(
         c=model.objective,
         a_ub=sparse.vstack(ub_blocks, format="csr") if ub_blocks else None,
         b_ub=np.concatenate(ub_rhs) if ub_rhs else None,
         a_eq=sparse.vstack(eq_blocks, format="csr") if eq_blocks else None,
         b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
-        bounds=bounds,
+        bounds=fixed_delta_bounds(model),
     )
 
 
@@ -430,17 +425,13 @@ def commodity_block_bound(
     lower_full, upper_full = fixed_delta_bounds(model)
     lower = np.concatenate([np.zeros(num_arcs), lower_full[model.num_flow:]])
     upper = np.concatenate([np.full(num_arcs, np.inf), upper_full[model.num_flow:]])
-    bounds = [
-        (float(lower[i]), None if np.isinf(upper[i]) else float(upper[i]))
-        for i in range(num_vars)
-    ]
     program = LinearProgram(
         c=objective,
         a_ub=sparse.vstack([vub, degree], format="csr"),
         b_ub=np.zeros(model.num_edges + model.num_nodes),
         a_eq=conservation,
         b_eq=rhs,
-        bounds=bounds,
+        bounds=(lower, upper),
     )
     solution = get_backend(backend).solve_lp(program)
     if not solution.success:

@@ -135,10 +135,13 @@ def max_satisfiable_flow(
     for index in range(num_commodities):
         objective[y_column[index]] = -1.0  # maximise total delivered demand
 
-    bounds = [(0, None)] * num_flow + [(0, commodity.demand) for commodity in commodities]
+    lower = np.zeros(num_vars)
+    upper = np.concatenate(
+        [np.full(num_flow, np.inf), [commodity.demand for commodity in commodities]]
+    )
 
     program = LinearProgram(
-        c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
+        c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=(lower, upper)
     )
     warm_start = (
         context.warm_start_for(_WARM_START_TAG, problem, extra_columns=num_commodities)

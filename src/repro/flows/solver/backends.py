@@ -7,13 +7,22 @@ relaxation and the exact MinR MILP — is expressed as a backend-neutral
 :class:`SolverBackend`:
 
 * :class:`ScipyHighsBackend` (name ``"scipy"``) — the default, always
-  available: ``scipy.optimize.linprog``/``milp`` driving the vendored HiGHS.
-  It re-solves every program from scratch (scipy exposes no warm-start API).
+  available.  LPs go straight to the HiGHS bindings that scipy vendors
+  (``scipy.optimize._highspy._core``): :func:`_solve_lp_highs` builds the
+  HiGHS model straight from the :class:`LinearProgram` and runs it with the
+  options ``linprog(method="highs")`` would set, so answers are
+  bit-identical to ``linprog`` without its input validation and
+  per-column marginal loop.  Because that module is private, ``linprog`` is
+  kept as the path taken when it cannot be imported (older scipy, or a
+  scipy that moves it); the choice follows from what is importable, with
+  no option to flip it.  MILPs go through ``scipy.optimize.milp``.  Every
+  program is solved from scratch: no warm starts.
 * :class:`HighspyBackend` (name ``"highs"``) — registered only when the
   optional ``highspy`` package is importable (``pip install repro[highs]``).
-  It talks to HiGHS directly and accepts the previous solution as a warm
-  start, which is what makes incremental re-solves across the ISP inner
-  loop cheap.
+  It runs the same :func:`_solve_lp_highs` on the ``highspy`` module and
+  additionally accepts the previous solution as a warm start
+  (``setSolution``), which is what makes incremental re-solves across the
+  ISP inner loop cheap.
 
 The active backend is resolved per solve: an explicit argument wins, then a
 process-wide override (:func:`set_default_backend`, set by the CLI's
@@ -36,11 +45,21 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.flows.solver.stats import record_solve
 
+try:  # scipy >= 1.15 vendors the HiGHS bindings under this private name
+    from scipy.optimize._highspy import _core as _VENDORED_HIGHS
+except ImportError:  # pragma: no cover - older scipy, or the module moved
+    _VENDORED_HIGHS = None
+
 #: Environment variable naming the default backend.
 BACKEND_ENV_VAR = "REPRO_LP_BACKEND"
 
-#: Per-variable bounds: one (lo, hi) for all variables, or one per variable.
-BoundsLike = Union[Tuple[Optional[float], Optional[float]], Sequence[Tuple[Optional[float], Optional[float]]]]
+#: Per-variable bounds: one (lo, hi) for all variables, one (lo, hi) per
+#: variable, or a (lower, upper) pair of arrays.  ``None`` means unbounded.
+BoundsLike = Union[
+    Tuple[Optional[float], Optional[float]],
+    Sequence[Tuple[Optional[float], Optional[float]]],
+    Tuple[np.ndarray, np.ndarray],
+]
 
 
 @dataclass
@@ -117,18 +136,210 @@ class MILPSolution:
 
 def _bounds_arrays(bounds: BoundsLike, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Normalise :attr:`LinearProgram.bounds` into dense (lower, upper) arrays."""
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    if isinstance(bounds, tuple) and len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
-        pairs: Sequence[Tuple[Optional[float], Optional[float]]] = [bounds] * n
+    if isinstance(bounds, tuple) and len(bounds) == 2 and isinstance(bounds[0], np.ndarray):
+        lower = np.array(bounds[0], dtype=float)
+        upper = np.array(bounds[1], dtype=float)
+        if lower.shape != (n,) or upper.shape != (n,):
+            raise ValueError(
+                f"expected lower/upper bound arrays of length {n}, "
+                f"got shapes {lower.shape} and {upper.shape}"
+            )
     else:
-        pairs = list(bounds)  # type: ignore[arg-type]
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} bound pairs, got {len(pairs)}")
-    for i, (lo, hi) in enumerate(pairs):
-        lower[i] = -np.inf if lo is None else float(lo)
-        upper[i] = np.inf if hi is None else float(hi)
+        if isinstance(bounds, tuple) and len(bounds) == 2 and not isinstance(
+            bounds[0], (tuple, list)
+        ):
+            pairs = np.array([bounds], dtype=float).repeat(n, axis=0)
+        else:
+            pairs = np.array(list(bounds), dtype=float)
+            if pairs.shape != (n, 2):
+                raise ValueError(f"expected {n} bound pairs, got an array of shape {pairs.shape}")
+        lower, upper = pairs[:, 0].copy(), pairs[:, 1].copy()
+    # ``None`` parses as NaN; like ``linprog``, read it as "unbounded".
+    lower[np.isnan(lower)] = -np.inf
+    upper[np.isnan(upper)] = np.inf
     return lower, upper
+
+
+def _stack_rows(
+    program: Union[LinearProgram, MILProgram]
+) -> Tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
+    """One CSC row system with row bounds: ``A_ub`` rows, then ``A_eq`` rows.
+
+    The matrix is canonical (sorted row indices, duplicates summed), which is
+    the form ``linprog`` hands to HiGHS.
+    """
+    blocks: List[sparse.spmatrix] = []
+    lowers: List[np.ndarray] = []
+    uppers: List[np.ndarray] = []
+    if isinstance(program, LinearProgram):
+        if program.a_ub is not None:
+            blocks.append(program.a_ub)
+            upper = np.asarray(program.b_ub, dtype=float)
+            lowers.append(np.full(len(upper), -np.inf))
+            uppers.append(upper)
+        if program.a_eq is not None:
+            rhs = np.asarray(program.b_eq, dtype=float)
+            blocks.append(program.a_eq)
+            lowers.append(rhs)
+            uppers.append(rhs)
+    else:
+        for matrix, lb, ub in program.constraints:
+            rows = matrix.shape[0]
+            blocks.append(matrix)
+            lowers.append(np.broadcast_to(np.asarray(lb, dtype=float), (rows,)))
+            uppers.append(np.broadcast_to(np.asarray(ub, dtype=float), (rows,)))
+    if not blocks:
+        empty = sparse.csc_matrix((0, program.num_variables))
+        return empty, np.zeros(0), np.zeros(0)
+    # Stacking CSR blocks is a plain concatenation; the CSC conversion then
+    # sorts row indices (and copies, so the caller's matrices stay intact).
+    csr_blocks = [sparse.csr_matrix(block) for block in blocks]  # dense too, like linprog
+    stacked = sparse.vstack(csr_blocks, format="csr", dtype=float).tocsc()
+    stacked.sum_duplicates()
+    return stacked, np.concatenate(lowers), np.concatenate(uppers)
+
+
+def _new_highs(core):
+    """A fresh HiGHS instance from ``core`` with logging off.
+
+    ``highspy`` exposes the public ``Highs`` class; scipy's vendored copy of
+    the same bindings only the base ``_Highs``.
+    """
+    solver = core.Highs() if hasattr(core, "Highs") else core._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("log_to_console", False)
+    return solver
+
+
+def _load_model(
+    core,
+    solver,
+    program: Union[LinearProgram, MILProgram],
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+):
+    """Pass ``program`` to ``solver`` as one HiGHS model; returns the HighsStatus."""
+    matrix, row_lower, row_upper = _stack_rows(program)
+    lp = core.HighsLp()
+    lp.num_col_ = program.num_variables
+    lp.num_row_ = matrix.shape[0]
+    lp.col_cost_ = np.asarray(program.c, dtype=float)
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = program.num_variables
+    lp.a_matrix_.num_row_ = matrix.shape[0]
+    # Float arrays cross the bindings as buffers, integer arrays element by
+    # element; as Python lists the latter convert about twice as fast.
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = matrix.data
+    if isinstance(program, MILProgram) and program.integrality is not None:
+        lp.integrality_ = [
+            core.HighsVarType.kInteger if flag else core.HighsVarType.kContinuous
+            for flag in np.asarray(program.integrality)
+        ]
+    return solver.passModel(lp)
+
+
+def _offer_solution(core, solver, values: np.ndarray) -> bool:
+    """Hand ``values`` to ``solver`` as a starting point; True if accepted."""
+    try:
+        solution = core.HighsSolution()
+        solution.col_value = np.asarray(values, dtype=float)
+        return solver.setSolution(solution) == core.HighsStatus.kOk
+    except (AttributeError, TypeError, ValueError):
+        return False
+
+
+#: HiGHS ``simplex_strategy`` value of the dual simplex (``linprog``'s choice).
+_SIMPLEX_STRATEGY_DUAL = 1
+
+
+def _solve_lp_highs(
+    core,
+    program: LinearProgram,
+    warm_start: Optional[np.ndarray] = None,
+    *,
+    use_warm_start: bool = False,
+) -> LPSolution:
+    """Solve ``program`` through the HiGHS bindings module ``core``.
+
+    Runs with exactly the options ``linprog(method="highs")`` sets (dual
+    simplex, presolve on, no output; the interior-point solver for
+    ``method_hint="interior-point"``) and maps model statuses the way
+    ``linprog`` does, so the answer is bit-identical to ``linprog``'s.
+    ``warm_start`` is only consumed when ``use_warm_start`` is set (and never
+    for IPM solves); the offer is recorded in the solver stats either way.
+    """
+    interior = program.method_hint == "interior-point"
+    started = time.perf_counter()
+    solver = _new_highs(core)
+    solver.setOptionValue("presolve", "on")
+    solver.setOptionValue("simplex_strategy", _SIMPLEX_STRATEGY_DUAL)
+    if interior:
+        solver.setOptionValue("solver", "ipm")
+    col_lower, col_upper = _bounds_arrays(program.bounds, program.num_variables)
+    loaded = _load_model(core, solver, program, col_lower, col_upper)
+    warm_started = False
+    if loaded != core.HighsStatus.kError:
+        if use_warm_start and warm_start is not None and not interior:
+            warm_started = _offer_solution(core, solver, warm_start)
+        solver.run()
+    record_solve(
+        time.perf_counter() - started,
+        kind="lp",
+        warm_start_attempted=warm_start is not None,
+        warm_start_used=warm_started,
+    )
+    statuses = core.HighsModelStatus
+    # ``linprog`` reports a model HiGHS refuses to load as kModelError.
+    status = statuses.kModelError if loaded == core.HighsStatus.kError else solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    if status == statuses.kOptimal:
+        return LPSolution(
+            status="optimal",
+            x=np.array(solver.getSolution().col_value),
+            objective=float(solver.getInfo().objective_function_value),
+            message=message,
+            warm_started=warm_started,
+        )
+    if status in (statuses.kInfeasible, statuses.kModelError):
+        return LPSolution(status="infeasible", message=message)
+    if status == statuses.kUnbounded:
+        return LPSolution(status="unbounded", message=message)
+    return LPSolution(status="error", message=message)
+
+
+def _solve_lp_linprog(program: LinearProgram, warm_start: Optional[np.ndarray] = None) -> LPSolution:
+    """``scipy.optimize.linprog`` path, taken when the vendored bindings are missing."""
+    method = "highs-ipm" if program.method_hint == "interior-point" else "highs"
+    started = time.perf_counter()
+    result = linprog(
+        c=program.c,
+        A_ub=program.a_ub,
+        b_ub=program.b_ub,
+        A_eq=program.a_eq,
+        b_eq=program.b_eq,
+        bounds=np.column_stack(_bounds_arrays(program.bounds, program.num_variables)),
+        method=method,
+    )
+    record_solve(
+        time.perf_counter() - started,
+        kind="lp",
+        warm_start_attempted=warm_start is not None,
+    )
+    if result.success:
+        return LPSolution(
+            status="optimal",
+            x=np.asarray(result.x),
+            objective=float(result.fun),
+            message=str(result.message),
+        )
+    status = {2: "infeasible", 3: "unbounded"}.get(result.status, "error")
+    return LPSolution(status=status, message=str(result.message))
 
 
 class SolverBackend(ABC):
@@ -157,7 +368,14 @@ class SolverBackend(ABC):
 
 
 class ScipyHighsBackend(SolverBackend):
-    """Default backend: ``scipy.optimize`` driving the vendored HiGHS."""
+    """Default backend: the HiGHS that scipy vendors.
+
+    LPs go straight to ``scipy.optimize._highspy._core`` through
+    :func:`_solve_lp_highs` (``scipy.optimize.linprog`` when that private
+    module cannot be imported); MILPs through ``scipy.optimize.milp``.  A warm start cannot
+    be consumed, but the *offer* is still recorded so warm-start reuse is
+    visible on every backend.
+    """
 
     name = "scipy"
     supports_warm_start = False
@@ -165,33 +383,9 @@ class ScipyHighsBackend(SolverBackend):
     def solve_lp(
         self, program: LinearProgram, warm_start: Optional[np.ndarray] = None
     ) -> LPSolution:
-        method = "highs-ipm" if program.method_hint == "interior-point" else "highs"
-        started = time.perf_counter()
-        result = linprog(
-            c=program.c,
-            A_ub=program.a_ub,
-            b_ub=program.b_ub,
-            A_eq=program.a_eq,
-            b_eq=program.b_eq,
-            bounds=program.bounds,
-            method=method,
-        )
-        # A warm start cannot be consumed by linprog, but the *offer* is
-        # still recorded so session-level reuse is visible on every backend.
-        record_solve(
-            time.perf_counter() - started,
-            kind="lp",
-            warm_start_attempted=warm_start is not None,
-        )
-        if result.success:
-            return LPSolution(
-                status="optimal",
-                x=np.asarray(result.x),
-                objective=float(result.fun),
-                message=str(result.message),
-            )
-        status = {2: "infeasible", 3: "unbounded"}.get(result.status, "error")
-        return LPSolution(status=status, message=str(result.message))
+        if _VENDORED_HIGHS is None:
+            return _solve_lp_linprog(program, warm_start)
+        return _solve_lp_highs(_VENDORED_HIGHS, program, warm_start)
 
     def solve_milp(
         self, program: MILProgram, warm_start: Optional[np.ndarray] = None
@@ -238,9 +432,11 @@ class ScipyHighsBackend(SolverBackend):
 class HighspyBackend(SolverBackend):
     """Direct HiGHS backend via the optional ``highspy`` package.
 
-    Talks to one :class:`highspy.Highs` instance per solve (models are small;
-    the win is the warm start, not instance reuse) and offers the caller's
-    previous solution as a primal starting point when one is available.
+    Runs the same :func:`_solve_lp_highs` as :class:`ScipyHighsBackend`, on
+    the ``highspy`` module, with one fresh :class:`highspy.Highs` per solve
+    (models are small; the win is the warm start, not instance reuse).  What
+    differs is the previous solution offered as a primal starting point
+    (``setSolution``) for LPs, and the MILP heuristic incumbent for MILPs.
     """
 
     name = "highs"
@@ -254,135 +450,28 @@ class HighspyBackend(SolverBackend):
             return False
         return True
 
-    # The whole backend is exercised only in environments with highspy
-    # installed (the CI parity leg); the container running the tier-1 suite
-    # may not have it.
-    def _stack_rows(
-        self, program: Union[LinearProgram, MILProgram]
-    ) -> Tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:  # pragma: no cover
-        """Combine <=/== constraint blocks into one row system with bounds."""
-        blocks: List[sparse.spmatrix] = []
-        lowers: List[np.ndarray] = []
-        uppers: List[np.ndarray] = []
-        if isinstance(program, LinearProgram):
-            if program.a_ub is not None:
-                rows = program.a_ub.shape[0]
-                blocks.append(program.a_ub)
-                lowers.append(np.full(rows, -np.inf))
-                uppers.append(np.asarray(program.b_ub, dtype=float))
-            if program.a_eq is not None:
-                rhs = np.asarray(program.b_eq, dtype=float)
-                blocks.append(program.a_eq)
-                lowers.append(rhs)
-                uppers.append(rhs)
-        else:
-            for matrix, lb, ub in program.constraints:
-                rows = matrix.shape[0]
-                blocks.append(matrix)
-                lowers.append(np.broadcast_to(np.asarray(lb, dtype=float), (rows,)))
-                uppers.append(np.broadcast_to(np.asarray(ub, dtype=float), (rows,)))
-        if not blocks:
-            empty = sparse.csc_matrix((0, program.num_variables))
-            return empty, np.zeros(0), np.zeros(0)
-        stacked = sparse.vstack(blocks).tocsc()
-        return stacked, np.concatenate(lowers), np.concatenate(uppers)
-
-    def _build_model(
-        self,
-        program: Union[LinearProgram, MILProgram],
-        col_lower: np.ndarray,
-        col_upper: np.ndarray,
-    ):  # pragma: no cover
-        import highspy
-
-        matrix, row_lower, row_upper = self._stack_rows(program)
-        lp = highspy.HighsLp()
-        lp.num_col_ = program.num_variables
-        lp.num_row_ = matrix.shape[0]
-        lp.col_cost_ = np.asarray(program.c, dtype=float)
-        lp.col_lower_ = col_lower
-        lp.col_upper_ = col_upper
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
-        if isinstance(program, MILProgram) and program.integrality is not None:
-            lp.integrality_ = [
-                highspy.HighsVarType.kInteger if flag else highspy.HighsVarType.kContinuous
-                for flag in np.asarray(program.integrality)
-            ]
-        solver = highspy.Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.passModel(lp)
-        return solver
-
     def solve_lp(
         self, program: LinearProgram, warm_start: Optional[np.ndarray] = None
-    ) -> LPSolution:  # pragma: no cover
+    ) -> LPSolution:
         import highspy
 
-        col_lower, col_upper = _bounds_arrays(program.bounds, program.num_variables)
-        solver = self._build_model(program, col_lower, col_upper)
-        if program.method_hint == "interior-point":
-            solver.setOptionValue("solver", "ipm")
-        warm_started = False
-        if warm_start is not None and program.method_hint != "interior-point":
-            try:
-                solution = highspy.HighsSolution()
-                solution.col_value = np.asarray(warm_start, dtype=float)
-                warm_started = solver.setSolution(solution) == highspy.HighsStatus.kOk
-            except (AttributeError, TypeError, ValueError):
-                warm_started = False
-        started = time.perf_counter()
-        solver.run()
-        record_solve(
-            time.perf_counter() - started,
-            kind="lp",
-            warm_start_attempted=warm_start is not None,
-            warm_start_used=warm_started,
-        )
-        status = solver.getModelStatus()
-        if status == highspy.HighsModelStatus.kOptimal:
-            values = np.array(solver.getSolution().col_value, dtype=float)
-            return LPSolution(
-                status="optimal",
-                x=values,
-                objective=float(solver.getInfo().objective_function_value),
-                message="Optimal",
-                warm_started=warm_started,
-            )
-        if status in (
-            highspy.HighsModelStatus.kInfeasible,
-            highspy.HighsModelStatus.kUnboundedOrInfeasible,
-        ):
-            return LPSolution(status="infeasible", message=str(status))
-        if status == highspy.HighsModelStatus.kUnbounded:
-            return LPSolution(status="unbounded", message=str(status))
-        return LPSolution(status="error", message=str(status))
+        return _solve_lp_highs(highspy, program, warm_start, use_warm_start=True)
 
     def solve_milp(
         self, program: MILProgram, warm_start: Optional[np.ndarray] = None
-    ) -> MILPSolution:  # pragma: no cover
+    ) -> MILPSolution:
         import highspy
 
         lower = np.broadcast_to(np.asarray(program.lb, dtype=float), (program.num_variables,))
         upper = np.broadcast_to(np.asarray(program.ub, dtype=float), (program.num_variables,))
-        solver = self._build_model(program, np.array(lower), np.array(upper))
+        solver = _new_highs(highspy)
         solver.setOptionValue("mip_rel_gap", float(program.mip_rel_gap))
         if program.time_limit is not None:
             solver.setOptionValue("time_limit", float(program.time_limit))
-        warm_started = False
-        if warm_start is not None:
-            # Hand HiGHS the heuristic incumbent: branch-and-bound starts
-            # with an upper bound and can prune from the first node.
-            try:
-                solution = highspy.HighsSolution()
-                solution.col_value = np.asarray(warm_start, dtype=float)
-                warm_started = solver.setSolution(solution) == highspy.HighsStatus.kOk
-            except (AttributeError, TypeError, ValueError):
-                warm_started = False
+        _load_model(highspy, solver, program, np.array(lower), np.array(upper))
+        # Hand HiGHS the heuristic incumbent: branch-and-bound starts with an
+        # upper bound and can prune from the first node.
+        warm_started = warm_start is not None and _offer_solution(highspy, solver, warm_start)
         started = time.perf_counter()
         solver.run()
         record_solve(

@@ -138,10 +138,12 @@ def maximum_splittable_amount(
     objective = np.zeros(num_vars)
     objective[dx_column] = -1.0  # maximise dx
 
-    bounds = [(0, None)] * num_flow + [(0, original)]
+    lower = np.zeros(num_vars)
+    upper = np.full(num_vars, np.inf)
+    upper[dx_column] = original
 
     program = LinearProgram(
-        c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
+        c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=(lower, upper)
     )
     warm_start = (
         context.warm_start_for(_WARM_START_TAG, problem, extra_columns=1)
