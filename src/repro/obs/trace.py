@@ -171,10 +171,16 @@ class Trace:
         """Attach an already-measured stage as a leaf of the open span."""
         if not self._admit():
             return
-        node = Span(name, attrs)
-        node.started_at = time.time() - max(0.0, float(wall_seconds))
+        # Built without Span.__init__, whose three clock reads would only be
+        # overwritten: the solver substrate records about three of these per
+        # LP, so their cost is a visible share of a traced solve.
+        node = Span.__new__(Span)
+        node.name = str(name)
+        node.attrs = attrs
         node.wall_seconds = float(wall_seconds)
         node.cpu_seconds = float(cpu_seconds)
+        node.started_at = time.time() - max(0.0, node.wall_seconds)
+        node.children = []
         node._open = False
         parent = self._stack[-1] if self._stack else None
         (parent.children if parent is not None else self.roots).append(node)

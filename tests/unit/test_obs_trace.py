@@ -99,6 +99,9 @@ class TestTraceContext:
         assert hook.wall_seconds == 0.25
         assert hook.cpu_seconds == 0.1
         assert hook.attrs == {"detail": "x"}
+        payload = hook.to_dict()
+        assert payload["wall_seconds"] == 0.25 and "in_progress" not in payload
+        assert payload["started_at"] <= time.time() - 0.25
 
     def test_exceptions_still_close_spans(self):
         try:
