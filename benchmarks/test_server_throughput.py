@@ -20,9 +20,15 @@ start-up.
 
 ``test_tracing_overhead_budget`` measures a second, orthogonal cost: the
 per-job tracing added by ``repro.obs`` (a ``trace_context`` per request
-plus the solver substrate's ``record_timed`` hooks).  It times the same
-warm in-process solves with and without an active trace and holds the
-slowdown under the **2% budget** — tracing is supposed to be invisible.
+plus the solver substrate's ``record_timed`` hooks).  It solves every
+warm request twice back to back, once with and once without an active
+trace, and holds the median traced/untraced ratio of those pairs under
+the **2% budget** — tracing is supposed to be invisible.  Pairing each
+request with itself a few milliseconds apart cancels the machine's
+speed drift, which whole back-to-back passes do not: on a shared host
+two passes of the same untraced code can differ by 20%.  Solves are
+timed in process CPU seconds, because tracing adds work, not waiting,
+and time spent descheduled behind other tenants is neither side's cost.
 
 Set ``$REPRO_BENCH_RECORD`` to a ``BENCH_server.json`` path to merge an
 ``overhead_benchmark`` (and ``tracing_benchmark``) section into that
@@ -36,6 +42,7 @@ import json
 import os
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import time
@@ -155,21 +162,22 @@ def _record_trajectory(rows) -> None:
 #: Tracing may slow the solve path by at most this much (percent).
 TRACING_BUDGET_PCT = 2.0
 
-#: Timed passes per side of the tracing comparison; best-of wins, which
-#: filters scheduler noise the way a single pass cannot.
-TRACING_REPEATS = int(os.environ.get("REPRO_BENCH_TRACING_REPEATS", "5"))
+#: Rounds of the tracing comparison.  Each round solves every request
+#: twice, traced and untraced, in an order that alternates between
+#: requests and rounds so neither side always runs second.
+TRACING_ROUNDS = int(os.environ.get("REPRO_BENCH_TRACING_ROUNDS", "30"))
 
 
-def _solve_pass(service, requests, traced: bool) -> float:
-    started = time.perf_counter()
-    for request in requests:
-        if traced:
-            # one trace per request, exactly like the worker loop
-            with trace_context():
-                service.solve(request)
-        else:
+def _timed_solve(service, request, traced: bool) -> float:
+    """CPU seconds of one solve, inside its own trace when ``traced``."""
+    started = time.process_time()
+    if traced:
+        # one trace per request, exactly like the worker loop
+        with trace_context():
             service.solve(request)
-    return time.perf_counter() - started
+    else:
+        service.solve(request)
+    return time.process_time() - started
 
 
 def _record_tracing(untraced: float, traced: float, overhead_pct: float) -> None:
@@ -183,7 +191,7 @@ def _record_tracing(untraced: float, traced: float, overhead_pct: float) -> None
         payload = json.loads(path.read_text())
     payload["tracing_benchmark"] = {
         "requests": NUM_REQUESTS,
-        "repeats": TRACING_REPEATS,
+        "rounds": TRACING_ROUNDS,
         "untraced_seconds": round(untraced, 4),
         "traced_seconds": round(traced, 4),
         "overhead_pct": round(overhead_pct, 2),
@@ -195,20 +203,33 @@ def _record_tracing(untraced: float, traced: float, overhead_pct: float) -> None
 def test_tracing_overhead_budget():
     requests = _sample_requests()
     service = RecoveryService()
-    # one warm pass per side: imports, topology cache, solver structures
-    _solve_pass(service, requests, traced=False)
-    _solve_pass(service, requests, traced=True)
-    # interleave the sides so drift (thermal, cache, background load) hits
-    # both populations equally; best-of-N filters the remaining noise
-    untraced = traced = float("inf")
-    for _ in range(TRACING_REPEATS):
-        untraced = min(untraced, _solve_pass(service, requests, traced=False))
-        traced = min(traced, _solve_pass(service, requests, traced=True))
-    overhead_pct = 100.0 * (traced / untraced - 1.0)
+    # warm both sides: imports, topology cache, solver structures
+    for request in requests:
+        _timed_solve(service, request, traced=False)
+        _timed_solve(service, request, traced=True)
+    # the two solves of a pair run milliseconds apart, so drift (thermal,
+    # cache, background load) hits both alike; the median over all pairs
+    # ignores the pairs a burst of noise landed in
+    ratios = []
+    pass_seconds = {False: [], True: []}
+    for round_index in range(TRACING_ROUNDS):
+        round_seconds = {False: 0.0, True: 0.0}
+        for index, request in enumerate(requests):
+            order = (True, False) if (round_index + index) % 2 else (False, True)
+            seconds = {side: _timed_solve(service, request, side) for side in order}
+            ratios.append(seconds[True] / seconds[False])
+            for side in order:
+                round_seconds[side] += seconds[side]
+        for side, total in round_seconds.items():
+            pass_seconds[side].append(total)
+    overhead_pct = 100.0 * (statistics.median(ratios) - 1.0)
+    # a median round of the request set per side, for the table
+    untraced = statistics.median(pass_seconds[False])
+    traced = statistics.median(pass_seconds[True])
 
     print_figure(
         f"Tracing overhead — traced vs untraced in-process solves "
-        f"({len(requests)} ISP requests, best of {TRACING_REPEATS})",
+        f"({len(requests)} ISP requests, {TRACING_ROUNDS} paired rounds)",
         [
             {
                 "path": "untraced",

@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextvars
 import os
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -54,8 +53,10 @@ _ID_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ01234
 
 
 def new_trace_id() -> str:
-    """A fresh 32-hex-char trace id."""
-    return uuid.uuid4().hex
+    """A fresh 32-hex-char trace id (128 random bits)."""
+    # os.urandom directly: uuid4() wraps the same bytes in a UUID object,
+    # which costs several times more on every minted trace
+    return os.urandom(16).hex()
 
 
 def normalize_trace_id(value: Optional[str]) -> Optional[str]:
@@ -169,21 +170,26 @@ class Trace:
         self, name: str, wall_seconds: float, cpu_seconds: float, attrs: Dict[str, Any]
     ) -> None:
         """Attach an already-measured stage as a leaf of the open span."""
-        if not self._admit():
+        # _admit inlined: this runs about three times per traced LP
+        if self.span_count >= MAX_SPANS_PER_TRACE:
+            self.dropped_spans += 1
             return
+        self.span_count += 1
         # Built without Span.__init__, whose three clock reads would only be
-        # overwritten: the solver substrate records about three of these per
-        # LP, so their cost is a visible share of a traced solve.
+        # overwritten, and without coercions: every caller hands in a str
+        # name and perf_counter float durations.  The solver substrate
+        # records about three of these per LP, so their cost is a visible
+        # share of a traced solve.
         node = Span.__new__(Span)
-        node.name = str(name)
+        node.name = name
         node.attrs = attrs
-        node.wall_seconds = float(wall_seconds)
-        node.cpu_seconds = float(cpu_seconds)
-        node.started_at = time.time() - max(0.0, node.wall_seconds)
+        node.wall_seconds = wall_seconds
+        node.cpu_seconds = cpu_seconds
+        node.started_at = time.time() - (wall_seconds if wall_seconds > 0 else 0.0)
         node.children = []
         node._open = False
-        parent = self._stack[-1] if self._stack else None
-        (parent.children if parent is not None else self.roots).append(node)
+        stack = self._stack
+        (stack[-1].children if stack else self.roots).append(node)
 
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-safe cross-process slice of this trace (one source)."""
@@ -211,21 +217,31 @@ def current_trace_id() -> Optional[str]:
     return trace.trace_id if trace is not None else None
 
 
-@contextmanager
-def trace_context(trace_id: Optional[str] = None) -> Iterator[Trace]:
+class trace_context:
     """Activate a trace for the enclosed block (nesting replaces, scoped).
 
     ``trace_id=None`` mints a fresh id; the HTTP ingress passes the
     normalized inbound header, workers pass the id stored on the job row.
     The trace object stays readable (``to_payload``) after the block ends,
     which is how callers persist it.
+
+    A plain class rather than a ``@contextmanager`` generator: one of
+    these wraps every served job, and the generator protocol costs about
+    twice as much per block.
     """
-    trace = Trace(trace_id or new_trace_id())
-    token = _ACTIVE.set(trace)
-    try:
-        yield trace
-    finally:
-        _ACTIVE.reset(token)
+
+    __slots__ = ("trace", "_token")
+
+    def __init__(self, trace_id: Optional[str] = None) -> None:
+        self.trace = Trace(trace_id or new_trace_id())
+        self._token: Optional[contextvars.Token] = None
+
+    def __enter__(self) -> Trace:
+        self._token = _ACTIVE.set(self.trace)
+        return self.trace
+
+    def __exit__(self, *exc_info: Any) -> None:
+        _ACTIVE.reset(self._token)
 
 
 @contextmanager
