@@ -124,7 +124,11 @@ def find_prunable_routing(
 
     if require_bubble:
         region = find_bubble(working_graph, demand, pair)
-        candidate_graph = working_graph.subgraph(region)
+        # Not ``working_graph.subgraph(region)``: for a small region that view
+        # iterates the region *set*, so node order (and with it the max-flow
+        # routes) would follow the interpreter's string-hash seed.  A node
+        # filter iterates in the working graph's own order.
+        candidate_graph = nx.subgraph_view(working_graph, filter_node=region.__contains__)
     else:
         candidate_graph = working_graph
 
