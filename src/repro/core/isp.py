@@ -276,7 +276,9 @@ def _prune_phase(state: _ISPState, working: nx.Graph) -> bool:
 def _direct_repair_phase(state: _ISPState) -> bool:
     """Repair broken edges that directly connect unsatisfiable demand pairs."""
     repaired_any = False
-    working = state.working_graph()
+    # Built only for a pair that passes the broken-direct-edge checks, which
+    # few do, and rebuilt after each repair.
+    working: Optional[nx.Graph] = None
     for pair in state.demand.pairs():
         source, target = pair.source, pair.target
         if not state.supply.has_edge(source, target):
@@ -285,13 +287,15 @@ def _direct_repair_phase(state: _ISPState) -> bool:
             continue
         if canonical_edge(source, target) in state.repaired_edges:
             continue
+        if working is None:
+            working = state.working_graph()
         satisfiable = max_flow_value(working, source, target)
         if satisfiable + EPSILON >= pair.demand:
             continue
         state.repair_edge(source, target)
         state.direct_repairs += 1
         repaired_any = True
-        working = state.working_graph()
+        working = None
     return repaired_any
 
 

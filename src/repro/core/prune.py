@@ -59,6 +59,10 @@ def find_bubble(
     any *other* demand endpoint in the working graph with ``s_h`` and ``t_h``
     removed.  By construction every edge leaving the bubble is incident to
     ``s_h`` or ``t_h``, which is exactly Definition 2 of the paper.
+
+    The reachable ("contaminated") vertices come from one breadth-first
+    search per other endpoint over the graph's adjacency, with ``s_h`` and
+    ``t_h`` treated as blocked; the graph is neither copied nor modified.
     """
     source, target = pair
     bubble: Set[Node] = {source, target}
@@ -69,15 +73,21 @@ def find_bubble(
         node for node in demand.endpoints if node not in (source, target)
     }
 
-    # Vertices reachable from another demand endpoint without crossing s_h/t_h.
-    stripped = working_graph.copy()
-    stripped.remove_nodes_from([source, target])
+    # Vertices reachable from another demand endpoint without crossing s_h/t_h:
+    # a BFS over the adjacency that never enters the two blocked endpoints.
+    adjacency = working_graph._adj
+    blocked = (source, target)
     contaminated: Set[Node] = set()
     for endpoint in other_endpoints:
-        if endpoint in stripped:
-            contaminated |= nx.node_connected_component(stripped, endpoint)
-        else:
-            contaminated.add(endpoint)
+        if endpoint in contaminated or endpoint not in adjacency:
+            continue
+        contaminated.add(endpoint)
+        frontier = [endpoint]
+        while frontier:
+            for neighbour in adjacency[frontier.pop()]:
+                if neighbour not in contaminated and neighbour not in blocked:
+                    contaminated.add(neighbour)
+                    frontier.append(neighbour)
 
     for node in working_graph.nodes:
         if node in (source, target):

@@ -10,7 +10,11 @@ ISP needs two max-flow quantities (Section IV-C):
 
 Both are thin, well-tested wrappers around networkx's preflow-push
 implementation operating on the undirected capacitated graphs produced by
-:class:`~repro.network.supply.SupplyGraph`.
+:class:`~repro.network.supply.SupplyGraph`.  Only the flow *value* is
+needed, so :func:`max_flow_value` runs the value-only first phase of
+preflow-push (``nx.maximum_flow_value``): the second phase merely returns
+excess to the source and builds no larger sink excess, so the value is the
+same float, without the second phase or the flow dictionary.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ def max_flow_value(graph: nx.Graph, source: Node, target: Node) -> float:
         return 0.0
     if not nx.has_path(graph, source, target):
         return 0.0
-    value, _ = nx.maximum_flow(graph, source, target, capacity="capacity")
-    return float(value)
+    return float(nx.maximum_flow_value(graph, source, target, capacity="capacity"))
 
 
 def max_flow_over_path_set(

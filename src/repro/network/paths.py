@@ -19,7 +19,7 @@ supply graph (for centrality) and to the working graph (for pruning).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -94,8 +94,25 @@ def dynamic_edge_length(
     an element, traversing it becomes cheap, which concentrates subsequent
     routing decisions on already-repaired components.
     """
-    repaired_nodes = set(repaired_nodes or ())
-    repaired_edges = {canonical_edge(*e) for e in (repaired_edges or ())}
+    return _dynamic_edge_length(
+        supply,
+        u,
+        v,
+        set(repaired_nodes or ()),
+        {canonical_edge(*e) for e in (repaired_edges or ())},
+        const,
+    )
+
+
+def _dynamic_edge_length(
+    supply: SupplyGraph,
+    u: Node,
+    v: Node,
+    repaired_nodes: Set[Node],
+    repaired_edges: Set[Tuple[Node, Node]],
+    const: float,
+) -> float:
+    """:func:`dynamic_edge_length` on already built sets (edges canonical)."""
     capacity = supply.capacity(u, v)
 
     edge_cost = 0.0
@@ -124,10 +141,10 @@ def attach_dynamic_lengths(
     returned by :meth:`SupplyGraph.full_graph`.  The graph is modified in
     place and also returned for convenience.
     """
-    for u, v in graph.edges:
-        graph.edges[u, v][attribute] = dynamic_edge_length(
-            supply, u, v, repaired_nodes, repaired_edges, const=const
-        )
+    nodes = set(repaired_nodes or ())
+    edges = {canonical_edge(*e) for e in (repaired_edges or ())}
+    for u, v, data in graph.edges(data=True):
+        data[attribute] = _dynamic_edge_length(supply, u, v, nodes, edges, const)
     return graph
 
 
@@ -174,15 +191,18 @@ def shortest_path_cover(
     if source not in graph or target not in graph:
         return []
 
-    residual: Dict[Tuple[Node, Node], float] = {
-        canonical_edge(u, v): float(data.get("capacity", 0.0))
-        for u, v, data in graph.edges(data=True)
+    # Residual capacity per edge, keyed by the identity of the edge-attribute
+    # dict: an undirected graph shares one dict between both orientations,
+    # and Dijkstra hands that dict to the weight function.
+    residual: Dict[int, float] = {
+        id(data): float(data.get("capacity", 0.0)) for _, _, data in graph.edges(data=True)
     }
+    adjacency = graph._adj
     cover: List[Tuple[Path, float]] = []
     covered = 0.0
 
     def edge_weight(u: Node, v: Node, data: dict) -> Optional[float]:
-        if residual[canonical_edge(u, v)] <= CAPACITY_EPSILON:
+        if residual[id(data)] <= CAPACITY_EPSILON:
             return None  # saturated edges are invisible to Dijkstra
         return float(data.get(weight, 1.0))
 
@@ -193,14 +213,15 @@ def shortest_path_cover(
             path = nx.dijkstra_path(graph, source, target, weight=edge_weight)
         except nx.NetworkXNoPath:
             break
-        bottleneck = min(residual[canonical_edge(u, v)] for u, v in path_edges(path))
+        keys = [id(adjacency[u][v]) for u, v in path_edges(path)]
+        bottleneck = min(residual[key] for key in keys)
         if bottleneck <= CAPACITY_EPSILON:
             break
         contribution = min(bottleneck, demand - covered) if demand != float("inf") else bottleneck
         cover.append((tuple(path), bottleneck))
         covered += bottleneck
-        for u, v in path_edges(path):
-            residual[canonical_edge(u, v)] -= bottleneck
+        for key in keys:
+            residual[key] -= bottleneck
     return cover
 
 

@@ -34,9 +34,9 @@ def canonical_edge(u: Node, v: Node) -> Edge:
     The supply graph is undirected, so ``(u, v)`` and ``(v, u)`` refer to the
     same edge.  All bookkeeping dictionaries use the canonical form so that
     lookups never depend on the order in which endpoints are mentioned.
+    Endpoints are ordered by ``repr``; equal reprs keep the given order.
     """
-    a, b = sorted((u, v), key=repr)
-    return (a, b)
+    return (v, u) if repr(v) < repr(u) else (u, v)
 
 
 class SupplyGraph:

@@ -138,3 +138,32 @@ class TestShortestPathCoverProperties:
         covered = sum(capacity for _, capacity in cover)
         limit = max_flow_value(graph, source, target)
         assert covered <= limit + 1e-6
+
+
+@st.composite
+def float_capacity_graphs(draw):
+    """A random undirected graph on mixed nodes with float capacities."""
+    count = draw(st.integers(min_value=2, max_value=10))
+    nodes = [f"n{i}" if i % 2 else i for i in range(count)]
+    candidates = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for u, v in draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates))):
+        graph.add_edge(
+            u, v, capacity=draw(st.floats(min_value=0.0, max_value=25.0, allow_nan=False))
+        )
+    source, target = draw(st.permutations(nodes))[:2]
+    return graph, source, target
+
+
+class TestMaxFlowValueEquivalence:
+    @given(float_capacity_graphs())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_value_only_phase_equals_full_preflow_push(self, case):
+        """The value-only first phase returns the very float of the full run."""
+        graph, source, target = case
+        if nx.has_path(graph, source, target):
+            expected = float(nx.maximum_flow(graph, source, target, capacity="capacity")[0])
+        else:
+            expected = 0.0
+        assert max_flow_value(graph, source, target) == expected

@@ -1,10 +1,19 @@
 """Property-based tests for the network substrate (hypothesis)."""
 
 import hypothesis.strategies as st
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.prune import find_bubble
 from repro.network.demand import DemandGraph
+from repro.network.paths import (
+    CAPACITY_EPSILON,
+    attach_dynamic_lengths,
+    dynamic_edge_length,
+    path_edges,
+    shortest_path_cover,
+)
 from repro.network.supply import SupplyGraph, canonical_edge
 
 NODE_NAMES = ["n0", "n1", "n2", "n3", "n4", "n5"]
@@ -132,3 +141,184 @@ class TestSupplyGraphProperties:
         if u == v:
             return
         assert canonical_edge(u, v) == canonical_edge(v, u)
+
+
+# ---------------------------------------------------------------------- #
+# The ISP hot-path helpers against their earlier, slower definitions, kept
+# here as references: every rewrite must give the same result.
+# ---------------------------------------------------------------------- #
+class _SameRepr:
+    """Distinct nodes that share one repr (canonical_edge must stay stable)."""
+
+    def __repr__(self) -> str:
+        return "twin"
+
+
+TWINS = (_SameRepr(), _SameRepr())
+
+mixed_nodes = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(alphabet="ab1'", max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=2), st.text(alphabet="ab", max_size=2)),
+    st.sampled_from(TWINS),
+    st.none(),
+)
+
+
+def reference_canonical_edge(u, v):
+    a, b = sorted((u, v), key=repr)
+    return (a, b)
+
+
+@st.composite
+def random_graphs(draw, min_nodes=2, max_nodes=9):
+    """A random undirected graph on string nodes with float capacities."""
+    count = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
+    nodes = [f"v{i}" for i in range(count)]
+    candidates = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=len(candidates)))
+    graph = nx.Graph()
+    graph.add_nodes_from(draw(st.permutations(nodes)))
+    for u, v in chosen:
+        graph.add_edge(
+            u,
+            v,
+            capacity=draw(st.floats(min_value=0.0, max_value=30.0, allow_nan=False)),
+            length=draw(st.floats(min_value=0.01, max_value=10.0, allow_nan=False)),
+        )
+    return graph
+
+
+def reference_find_bubble(working_graph, demand, pair):
+    source, target = pair
+    bubble = {source, target}
+    if source not in working_graph or target not in working_graph:
+        return bubble
+    other_endpoints = {node for node in demand.endpoints if node not in (source, target)}
+    stripped = working_graph.copy()
+    stripped.remove_nodes_from([source, target])
+    contaminated = set()
+    for endpoint in other_endpoints:
+        if endpoint in stripped:
+            contaminated |= nx.node_connected_component(stripped, endpoint)
+        else:
+            contaminated.add(endpoint)
+    for node in working_graph.nodes:
+        if node not in (source, target) and node not in contaminated:
+            bubble.add(node)
+    return bubble
+
+
+def reference_shortest_path_cover(graph, source, target, demand, weight="length"):
+    if source == target or source not in graph or target not in graph:
+        return []
+    residual = {
+        canonical_edge(u, v): float(data.get("capacity", 0.0))
+        for u, v, data in graph.edges(data=True)
+    }
+    cover = []
+    covered = 0.0
+
+    def edge_weight(u, v, data):
+        if residual[canonical_edge(u, v)] <= CAPACITY_EPSILON:
+            return None
+        return float(data.get(weight, 1.0))
+
+    while covered < demand - CAPACITY_EPSILON:
+        try:
+            path = nx.dijkstra_path(graph, source, target, weight=edge_weight)
+        except nx.NetworkXNoPath:
+            break
+        bottleneck = min(residual[canonical_edge(u, v)] for u, v in path_edges(path))
+        if bottleneck <= CAPACITY_EPSILON:
+            break
+        cover.append((tuple(path), bottleneck))
+        covered += bottleneck
+        for u, v in path_edges(path):
+            residual[canonical_edge(u, v)] -= bottleneck
+    return cover
+
+
+class TestHotPathEquivalence:
+    @given(mixed_nodes, mixed_nodes)
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_edge_matches_sorted_by_repr(self, u, v):
+        expected = reference_canonical_edge(u, v)
+        result = canonical_edge(u, v)
+        # Identity, not equality: 1 == 1.0 and the twins compare unequal but
+        # print alike, so only ``is`` shows which object went first.
+        assert result[0] is expected[0] and result[1] is expected[1]
+
+    def test_canonical_edge_keeps_order_of_equal_reprs(self):
+        first, second = TWINS
+        assert canonical_edge(first, second) == (first, second)
+        assert canonical_edge(second, first) == (second, first)
+
+    @given(random_graphs(), st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_find_bubble_matches_copy_and_component(self, graph, data):
+        # Endpoints may lie outside the graph (a broken demand endpoint).
+        names = list(graph.nodes) + ["outside"]
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+                    lambda pair: pair[0] != pair[1]
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        demand = DemandGraph()
+        for u, v in pairs:
+            demand.add(u, v, 1.0)
+        snapshot = nx.to_dict_of_dicts(graph)
+        for pair in demand.pairs():
+            assert find_bubble(graph, demand, pair.pair) == reference_find_bubble(
+                graph, demand, pair.pair
+            )
+        assert nx.to_dict_of_dicts(graph) == snapshot
+
+    @given(random_graphs(), st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_shortest_path_cover_matches_canonical_keyed_version(self, graph, data):
+        names = list(graph.nodes)
+        source = data.draw(st.sampled_from(names))
+        target = data.draw(st.sampled_from(names))
+        demand = data.draw(
+            st.one_of(
+                st.floats(min_value=0.1, max_value=80.0, allow_nan=False),
+                st.just(float("inf")),
+            )
+        )
+        snapshot = nx.to_dict_of_dicts(graph)
+        assert shortest_path_cover(graph, source, target, demand) == (
+            reference_shortest_path_cover(graph, source, target, demand)
+        )
+        assert nx.to_dict_of_dicts(graph) == snapshot
+
+    @given(random_graphs(min_nodes=3), st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_attach_dynamic_lengths_matches_per_edge_definition(self, graph, data):
+        supply = SupplyGraph()
+        for node in graph.nodes:
+            supply.add_node(node, repair_cost=data.draw(st.floats(min_value=0.0, max_value=5.0)))
+        for u, v, attrs in graph.edges(data=True):
+            supply.add_edge(
+                u,
+                v,
+                capacity=max(attrs["capacity"], 0.5),
+                repair_cost=data.draw(st.floats(min_value=0.0, max_value=5.0)),
+            )
+        supply.break_all()
+        repaired_nodes = data.draw(st.sets(st.sampled_from(list(graph.nodes))))
+        repaired_edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in data.draw(st.sets(st.sampled_from(list(graph.edges) or [("x", "y")])))
+        ]
+        full = supply.full_graph(use_residual=True)
+        attach_dynamic_lengths(supply, full, repaired_nodes, repaired_edges, const=1.5)
+        for u, v, attrs in full.edges(data=True):
+            assert attrs["length"] == dynamic_edge_length(
+                supply, u, v, repaired_nodes, repaired_edges, const=1.5
+            )
