@@ -134,10 +134,9 @@ def find_prunable_routing(
 
     if require_bubble:
         region = find_bubble(working_graph, demand, pair)
-        # Not ``working_graph.subgraph(region)``: for a small region that view
-        # iterates the region *set*, so node order (and with it the max-flow
-        # routes) would follow the interpreter's string-hash seed.  A node
-        # filter iterates in the working graph's own order.
+        # A node-filter view iterates in the working graph's own order.
+        # ``Graph.subgraph`` iterates a small region's *set*, whose order (and
+        # with it the max-flow routes) follows the interpreter's hash seed.
         candidate_graph = nx.subgraph_view(working_graph, filter_node=region.__contains__)
     else:
         candidate_graph = working_graph

@@ -10,11 +10,10 @@ ISP needs two max-flow quantities (Section IV-C):
 
 Both are thin, well-tested wrappers around networkx's preflow-push
 implementation operating on the undirected capacitated graphs produced by
-:class:`~repro.network.supply.SupplyGraph`.  Only the flow *value* is
-needed, so :func:`max_flow_value` runs the value-only first phase of
-preflow-push (``nx.maximum_flow_value``): the second phase merely returns
-excess to the source and builds no larger sink excess, so the value is the
-same float, without the second phase or the flow dictionary.
+:class:`~repro.network.supply.SupplyGraph`.  :func:`max_flow_value` runs
+only the value-only first phase (``nx.maximum_flow_value``) and builds no
+flow dictionary: the second phase merely returns excess to the source and
+leaves the sink's excess, the returned value, unchanged.
 """
 
 from __future__ import annotations

@@ -217,7 +217,6 @@ def shortest_path_cover(
         bottleneck = min(residual[key] for key in keys)
         if bottleneck <= CAPACITY_EPSILON:
             break
-        contribution = min(bottleneck, demand - covered) if demand != float("inf") else bottleneck
         cover.append((tuple(path), bottleneck))
         covered += bottleneck
         for key in keys:
